@@ -1566,56 +1566,6 @@ impl WindowedSimulator {
     }
 }
 
-/// [`simulate_batched_with_warmup`] without a warm-up phase.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batched(
-    records: &[TraceRecord],
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-) -> SimReport {
-    simulate_batched_with_warmup(
-        &[],
-        records,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-    )
-}
-
-/// One-shot speculative batched simulation at [`DEFAULT_SPEC_WINDOW`].
-///
-/// Bit-identical to [`crate::simulate_streaming_with_warmup`]; this is the
-/// path [`crate::simulate_with_warmup`] routes scored runs through.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batched_with_warmup(
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
-    cache: &mut SetAssocCache,
-    admission: &mut dyn AdmissionPolicy,
-    eviction: &mut dyn EvictionPolicy,
-    score: Option<&mut dyn ScoreSource>,
-    latency: &LatencyModel,
-    series_window: Option<u64>,
-) -> SimReport {
-    WindowedSimulator::default().run(
-        warmup,
-        measured,
-        cache,
-        admission,
-        eviction,
-        score,
-        latency,
-        series_window,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1737,7 +1687,7 @@ mod tests {
         let mut c2 = small_cache();
         let mut lru2 = LruPolicy::new(8, 2);
         let mut s2 = ConstantScore(1.0);
-        let batched = simulate_batched_with_warmup(
+        let batched = WindowedSimulator::default().run(
             warm,
             meas,
             &mut c2,

@@ -495,12 +495,6 @@ impl<S: ScoreSource> FaultyScore<S> {
         }
     }
 
-    /// The wrapped source (e.g. to read its inference counters after a
-    /// run).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// Whether any outage window covers position `seq`: an outage starting
     /// at any of the previous `scorer_outage_len` positions is still in
     /// force.

@@ -55,11 +55,12 @@ mod view;
 
 pub mod policy;
 
-pub use adapt::{AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir};
+pub use adapt::{
+    AdaptPlan, AdaptSink, AdaptStats, DriftDetector, ObsSample, RecentRing, Reservoir,
+};
 pub use batch::{
-    simulate_batched, simulate_batched_with_warmup, SpecParams, SpecStats, WindowedSimulator,
-    DEFAULT_SPEC_WINDOW, DENSE_MISS_FRACTION_DIV, MIN_SPEC_WINDOW, STREAM_MISS_FRACTION_DIV,
-    STREAM_SPAN_WINDOWS,
+    SpecParams, SpecStats, WindowedSimulator, DEFAULT_SPEC_WINDOW, DENSE_MISS_FRACTION_DIV,
+    MIN_SPEC_WINDOW, STREAM_MISS_FRACTION_DIV, STREAM_SPAN_WINDOWS,
 };
 pub use cache::{AccessOutcome, BlockState, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CacheConfigError};

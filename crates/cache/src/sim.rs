@@ -215,7 +215,7 @@ pub fn simulate_with_warmup(
     series_window: Option<u64>,
 ) -> SimReport {
     if score.as_ref().is_some_and(|s| s.prefers_batching()) {
-        crate::batch::simulate_batched_with_warmup(
+        crate::WindowedSimulator::default().run(
             warmup,
             measured,
             cache,

@@ -66,7 +66,8 @@ fn fanout_routing_state_is_four_bytes_per_record() {
         .collect();
     let (warmup, measured) = trace.split_at(N / 4);
 
-    let (part, bytes) = allocated_by(|| ShardPartition::build(SHARDS, &cfg, warmup, measured).unwrap());
+    let (part, bytes) =
+        allocated_by(|| ShardPartition::build(SHARDS, &cfg, warmup, measured).unwrap());
 
     // Every record is routed exactly once.
     let routed: usize = (0..SHARDS).map(|s| part.positions(s).len()).sum();

@@ -6,9 +6,10 @@ use crate::engine::{GmmPolicyEngine, TrainedModel};
 use crate::error::IcgmmError;
 use crate::online::AdaptiveEngine;
 use icgmm_cache::{
-    AdaptSink, AdaptStats, AlwaysAdmit, BeladyPolicy, FailoverAdmission, FailoverEviction,
-    FaultPlan, FaultSink, FaultyScore, FifoPolicy, GmmScorePolicy, LatencyModel, LfuPolicy,
-    LruPolicy, RandomPolicy, ScorerHealth, SetAssocCache, ShardCtx, ShardPolicies,
+    AdaptSink, AdaptStats, AdmissionPolicy, AlwaysAdmit, BeladyPolicy, EvictionPolicy,
+    FailoverAdmission, FailoverEviction, FaultPlan, FaultSink, FaultStats, FaultyScore, FifoPolicy,
+    GmmScorePolicy, LatencyModel, LfuPolicy, LruPolicy, RandomPolicy, RecordsRef, ReplayEvent,
+    ReplayObserver, ScoreSource, ScorerHealth, SetAssocCache, ShardCtx, ShardPolicies,
     ShardedSimulator, SimReport, SpecStats, ThresholdAdmit, WindowedSimulator,
 };
 use icgmm_gmm::{calibrate_threshold, EmReport, EmTrainer, StandardScaler};
@@ -19,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 /// Summary of one `fit` (offline training) invocation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -66,45 +68,199 @@ impl RunReport {
     }
 }
 
-/// The single-threaded replay's score stack: the plain engine, the
-/// adaptive wrapper, and either of them behind the fault injector. Built
-/// once per run from the configuration's plans; empty plans contribute no
-/// layer, so disabled features stay bit-identical by construction.
-enum ScoreStack {
-    None,
-    Plain(GmmPolicyEngine),
-    Adaptive(Box<AdaptiveEngine>),
-    Faulty(FaultyScore<GmmPolicyEngine>),
-    FaultyAdaptive(Box<FaultyScore<AdaptiveEngine>>),
+/// One run's policy stack: everything a shard needs to replay `mode`,
+/// built per shard by [`PolicyStack::shard_policies`] — the only code that
+/// instantiates the admission and eviction policies, the scorer and their
+/// adaptation, fault-injection and failover wrappers. Every entry point
+/// replays what it builds: the single-threaded engines ([`Icgmm::run`],
+/// [`Icgmm::run_dataflow`]) as one shard, [`Icgmm::run_sharded`] and
+/// [`Icgmm::serve`] on their shard workers.
+///
+/// Each shard's telemetry travels by its own sink, replaced wholesale when
+/// the shard is rebuilt (a supervisor re-replay after a worker panic), so
+/// merged stats equal an undisturbed run's; [`PolicyStack::telemetry`]
+/// merges the sinks in shard order. The sink tables sit behind mutexes
+/// because the sharded engines build policies on their workers.
+struct PolicyStack<'a> {
+    sys: &'a Icgmm,
+    mode: PolicyMode,
+    engine: Option<GmmPolicyEngine>,
+    threshold: f64,
+    plan: FaultPlan,
+    /// The contiguous trace prefix of a single-threaded run, from which
+    /// its Belady oracle builds chunk-parallel; shards build theirs from
+    /// their own views.
+    oracle: Option<&'a [TraceRecord]>,
+    fault_sinks: Mutex<Vec<FaultSink>>,
+    adapt_sinks: Mutex<Vec<AdaptSink>>,
 }
 
-impl ScoreStack {
-    fn as_score(&mut self) -> Option<&mut dyn icgmm_cache::ScoreSource> {
-        match self {
-            ScoreStack::None => None,
-            ScoreStack::Plain(e) => Some(e),
-            ScoreStack::Adaptive(a) => Some(a.as_mut()),
-            ScoreStack::Faulty(f) => Some(f),
-            ScoreStack::FaultyAdaptive(f) => Some(f.as_mut()),
+impl PolicyStack<'_> {
+    /// Builds one shard's admission policy, eviction policy and scorer.
+    ///
+    /// The scorer is the policy engine, optionally inside the online refit
+    /// loop (per-shard buffers and salted seeds), optionally behind the
+    /// fault injector; a health monitor adds the LRU / admit-all failover
+    /// to the GMM-driven policies. Empty plans wrap nothing, so plain runs
+    /// replay exactly the bare policies and engine.
+    fn shard_policies(&self, ctx: &ShardCtx<'_>) -> ShardPolicies {
+        let sys = self.sys;
+        let sets = sys.cfg.cache.num_sets();
+        let ways = sys.cfg.cache.ways;
+        let scored_eviction = matches!(
+            self.mode,
+            PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction
+        );
+        let scored_admission = matches!(
+            self.mode,
+            PolicyMode::GmmCachingOnly | PolicyMode::GmmCachingEviction
+        );
+        let mut eviction: Box<dyn EvictionPolicy + Send> = match self.mode {
+            PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
+            PolicyMode::Random => Box::new(RandomPolicy::new(sys.cfg.em.seed)),
+            PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
+            // The oracle sees exactly the subsequence this shard replays,
+            // positioned by the sequence numbers the replay presents
+            // (order-isomorphic to the global ones).
+            PolicyMode::Belady => Box::new(match self.oracle {
+                Some(records) => BeladyPolicy::from_records(records, sets, ways),
+                None => BeladyPolicy::from_pages(
+                    ctx.warmup
+                        .iter()
+                        .chain(ctx.measured.iter())
+                        .map(|r| r.page().raw()),
+                    sets,
+                    ways,
+                ),
+            }),
+            PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction => {
+                Box::new(if sys.cfg.eviction_hit_bonus > 0.0 {
+                    GmmScorePolicy::with_hit_bonus(sets, ways, sys.cfg.eviction_hit_bonus)
+                } else {
+                    GmmScorePolicy::new(sets, ways)
+                })
+            }
+            PolicyMode::Lru | PolicyMode::GmmCachingOnly => Box::new(LruPolicy::new(sets, ways)),
+        };
+        let mut admission: Box<dyn AdmissionPolicy + Send> = if scored_admission {
+            Box::new(ThresholdAdmit {
+                threshold: self.threshold,
+                admit_writes_always: sys.cfg.admit_writes_always,
+            })
+        } else {
+            Box::new(AlwaysAdmit)
+        };
+        let Some(engine) = &self.engine else {
+            return ShardPolicies {
+                admission,
+                eviction,
+                score: None,
+            };
+        };
+
+        // `shard` salts the adapt plan's seed, so each shard draws
+        // independent reservoir and re-seed streams.
+        let adaptive = (!sys.cfg.adapt.is_empty()).then(|| {
+            let sink = AdaptSink::new();
+            self.adapt_sinks
+                .lock()
+                .expect("adapt sink lock never poisoned")[ctx.shard] = sink.clone();
+            let model = sys
+                .model
+                .as_ref()
+                .expect("a GMM engine implies a trained model");
+            AdaptiveEngine::new(
+                engine.clone(),
+                &model.gmm,
+                sys.cfg.em,
+                &sys.cfg.preprocess,
+                sys.cfg.adapt,
+                ctx.shard as u64,
+                sink,
+            )
+            .expect("adapt plan is validated at configuration time")
+        });
+        let plan = self.plan;
+        let guard = (plan.scorer_armed() || plan.monitor_armed()).then(|| {
+            let sink = FaultSink::new();
+            self.fault_sinks.lock().expect("sink lock never poisoned")[ctx.shard] = sink.clone();
+            let health = plan.monitor_armed().then(|| ScorerHealth::new(&plan));
+            (health, sink)
+        });
+        if let Some((Some(health), sink)) = &guard {
+            if scored_eviction {
+                eviction = Box::new(FailoverEviction::new(
+                    eviction,
+                    Box::new(LruPolicy::new(sets, ways)),
+                    health.clone(),
+                    sink.clone(),
+                ));
+            }
+            if scored_admission {
+                admission = Box::new(FailoverAdmission::new(
+                    admission,
+                    health.clone(),
+                    sink.clone(),
+                ));
+            }
+        }
+        let score = match adaptive {
+            Some(a) => behind_injector(a, plan, guard),
+            None => behind_injector(engine.clone(), plan, guard),
+        };
+        ShardPolicies {
+            admission,
+            eviction,
+            score: Some(score),
         }
     }
 
-    fn scores_computed(&self) -> u64 {
-        match self {
-            ScoreStack::None => 0,
-            ScoreStack::Plain(e) => e.scores_computed(),
-            ScoreStack::Adaptive(a) => a.scores_computed(),
-            ScoreStack::Faulty(f) => f.inner().scores_computed(),
-            ScoreStack::FaultyAdaptive(f) => f.inner().scores_computed(),
+    /// The per-shard fault and adaptation telemetry, merged in shard order
+    /// (deterministic for a given shard count).
+    fn telemetry(self) -> (FaultStats, AdaptStats) {
+        let mut fault = FaultStats::default();
+        for sink in self
+            .fault_sinks
+            .into_inner()
+            .expect("no worker holds the sink lock")
+        {
+            fault.merge(&sink.snapshot());
         }
+        let mut adapt = AdaptStats::default();
+        for sink in self
+            .adapt_sinks
+            .into_inner()
+            .expect("no worker holds the adapt sink lock")
+        {
+            adapt.merge(&sink.snapshot());
+        }
+        (fault, adapt)
     }
+}
 
-    fn adapt_stats(&self) -> AdaptStats {
-        match self {
-            ScoreStack::Adaptive(a) => a.stats(),
-            ScoreStack::FaultyAdaptive(f) => f.inner().stats(),
-            _ => AdaptStats::default(),
-        }
+/// Boxes `inner` as a shard's scorer, behind the fault injector when the
+/// plan arms one (`guard` carries the shard's health monitor and sink).
+/// Generic, so the injector calls its source statically and the replay
+/// engines reach the whole stack through one `dyn` dispatch.
+fn behind_injector<S: ScoreSource + Send + 'static>(
+    inner: S,
+    plan: FaultPlan,
+    guard: Option<(Option<Arc<ScorerHealth>>, FaultSink)>,
+) -> Box<dyn ScoreSource + Send> {
+    match guard {
+        Some((health, sink)) => Box::new(FaultyScore::new(inner, plan, health, sink)),
+        None => Box::new(inner),
+    }
+}
+
+/// Counts the replay events that consumed a score: a streaming replay's
+/// policy-engine inferences.
+#[derive(Default)]
+struct ScoredCount(u64);
+
+impl ReplayObserver for ScoredCount {
+    fn on_record(&mut self, ev: &ReplayEvent<'_>) {
+        self.0 += u64::from(ev.score.is_some());
     }
 }
 
@@ -249,6 +405,70 @@ impl Icgmm {
         (&trace.records()[..start], &trace.records()[start..end])
     }
 
+    /// The policy stack for one run of `mode` over `shards` shards, with
+    /// `plan` arming scorer faults and failover.
+    fn policy_stack(
+        &self,
+        mode: PolicyMode,
+        shards: usize,
+        plan: FaultPlan,
+    ) -> Result<PolicyStack<'_>, IcgmmError> {
+        let engine = if mode.uses_gmm() {
+            Some(self.policy_engine()?)
+        } else {
+            None
+        };
+        Ok(PolicyStack {
+            sys: self,
+            mode,
+            engine,
+            threshold: self.model.as_ref().map_or(0.0, |m| m.threshold),
+            plan,
+            oracle: None,
+            fault_sinks: Mutex::new(vec![FaultSink::new(); shards]),
+            adapt_sinks: Mutex::new(vec![AdaptSink::new(); shards]),
+        })
+    }
+
+    /// The single-threaded engines' stack: the whole trace as one shard
+    /// (slice views over the warm-up/measured split), built once.
+    fn one_shard<'a>(
+        &'a self,
+        trace: &'a Trace,
+        mode: PolicyMode,
+        plan: FaultPlan,
+    ) -> Result<(PolicyStack<'a>, ShardPolicies), IcgmmError> {
+        let (warmup, measured) = self.phases(trace);
+        let mut stack = self.policy_stack(mode, 1, plan)?;
+        stack.oracle = Some(&trace.records()[..warmup.len() + measured.len()]);
+        let pol = stack.shard_policies(&ShardCtx {
+            shard: 0,
+            shards: 1,
+            warmup: RecordsRef::from_slice(warmup),
+            measured: RecordsRef::from_slice(measured),
+        });
+        Ok((stack, pol))
+    }
+
+    /// The set-sharded engines' stack over the configured `sim_shards`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Icgmm::policy_stack`], plus [`IcgmmError::Config`] for
+    /// [`PolicyMode::Random`] above one shard — random eviction draws
+    /// victims from one global RNG stream, which set-partitioned replay
+    /// cannot reproduce.
+    fn sharded_stack(&self, mode: PolicyMode) -> Result<PolicyStack<'_>, IcgmmError> {
+        let shards = self.cfg.sim_shards;
+        if shards > 1 && mode == PolicyMode::Random {
+            return Err(IcgmmError::Config(format!(
+                "random eviction is not shard-deterministic; use sim_shards = 1 \
+                 (requested {shards})"
+            )));
+        }
+        self.policy_stack(mode, shards, self.cfg.fault)
+    }
+
     /// Runs one policy mode over the (trimmed) trace with the analytic
     /// latency model — the paper's Fig. 6 / Table 1 measurement.
     ///
@@ -273,134 +493,46 @@ impl Icgmm {
     ) -> Result<RunReport, IcgmmError> {
         let (warmup, measured) = self.phases(trace);
         let mut cache = SetAssocCache::new(self.cfg.cache)?;
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-
-        // One simulator per run: engines at paper-scale K lookahead-
-        // classify `sim_window` requests and ride the batched scoring
-        // kernel; small-K engines (where scalar scoring is too cheap to
-        // out-earn the speculation overhead) and score-free modes take
-        // the streaming loop — bit-identical either way.
-        let use_batched = engine
-            .as_ref()
-            .is_some_and(icgmm_cache::ScoreSource::prefers_batching);
-
-        // Score-stack plumbing: an armed adaptation plan wraps the engine
-        // in the online refit loop, and an armed fault plan passes its
-        // scores through the injector (feeding the health monitor) while
-        // the GMM-driven policies gain their degradation fallbacks. Empty
-        // plans wrap nothing, so plain runs take exactly the original code
-        // paths.
         let plan = self.cfg.fault;
-        let sink = FaultSink::new();
-        let health = (engine.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
-        let scorer_faulted = engine.is_some() && (plan.scorer_armed() || health.is_some());
-        let mut stack = match engine {
-            None => ScoreStack::None,
-            Some(e) => {
-                let adaptive = (!self.cfg.adapt.is_empty())
-                    .then(|| self.adaptive_engine(e.clone(), 0, AdaptSink::new()));
-                match (adaptive, scorer_faulted) {
-                    (None, false) => ScoreStack::Plain(e),
-                    (None, true) => {
-                        ScoreStack::Faulty(FaultyScore::new(e, plan, health.clone(), sink.clone()))
-                    }
-                    (Some(a), false) => ScoreStack::Adaptive(Box::new(a)),
-                    (Some(a), true) => ScoreStack::FaultyAdaptive(Box::new(FaultyScore::new(
-                        a,
-                        plan,
-                        health.clone(),
-                        sink.clone(),
-                    ))),
-                }
-            }
-        };
+        let (stack, mut pol) = self.one_shard(trace, mode, plan)?;
 
+        // Engines at paper-scale K lookahead-classify `sim_window`
+        // requests and ride the batched scoring kernel; small-K engines
+        // (where scalar scoring is too cheap to out-earn the speculation
+        // overhead) and score-free modes take the streaming loop —
+        // bit-identical either way.
+        let use_batched = pol.score.as_ref().is_some_and(|s| s.prefers_batching());
         let mut wsim = WindowedSimulator::with_params(self.cfg.spec_params());
         if use_batched && plan.breaker_armed() {
             wsim.set_breaker(plan.breaker_storm_windows, plan.breaker_cooldown_records);
         }
-        let mut sim = {
-            let wsim = &mut wsim;
-            let score: Option<&mut dyn icgmm_cache::ScoreSource> = stack.as_score();
-            let wrap_ev = |primary: GmmScorePolicy| -> Box<dyn icgmm_cache::EvictionPolicy + Send> {
-                match &health {
-                    Some(h) => Box::new(FailoverEviction::new(
-                        Box::new(primary),
-                        Box::new(LruPolicy::new(sets, ways)),
-                        h.clone(),
-                        sink.clone(),
-                    )),
-                    None => Box::new(primary),
-                }
-            };
-            let wrap_adm =
-                |primary: ThresholdAdmit| -> Box<dyn icgmm_cache::AdmissionPolicy + Send> {
-                    match &health {
-                        Some(h) => Box::new(FailoverAdmission::new(
-                            Box::new(primary),
-                            h.clone(),
-                            sink.clone(),
-                        )),
-                        None => Box::new(primary),
-                    }
-                };
-            let mut run =
-                |adm: &mut dyn icgmm_cache::AdmissionPolicy,
-                 ev: &mut dyn icgmm_cache::EvictionPolicy,
-                 score: Option<&mut dyn icgmm_cache::ScoreSource>| {
-                    if use_batched {
-                        wsim.run(warmup, measured, &mut cache, adm, ev, score, latency, None)
-                    } else {
-                        icgmm_cache::simulate_streaming_with_warmup(
-                            warmup, measured, &mut cache, adm, ev, score, latency, None,
-                        )
-                    }
-                };
-            match mode {
-                PolicyMode::Lru => run(&mut AlwaysAdmit, &mut LruPolicy::new(sets, ways), None),
-                PolicyMode::Fifo => run(&mut AlwaysAdmit, &mut FifoPolicy::new(sets, ways), None),
-                PolicyMode::Random => run(
-                    &mut AlwaysAdmit,
-                    &mut RandomPolicy::new(self.cfg.em.seed),
-                    None,
-                ),
-                PolicyMode::Lfu => run(&mut AlwaysAdmit, &mut LfuPolicy::new(sets, ways), None),
-                PolicyMode::Belady => {
-                    // The oracle sees warm-up + measured with absolute
-                    // sequence numbers (seq is continuous across phases).
-                    let end = warmup.len() + measured.len();
-                    let mut ev = BeladyPolicy::from_records(&trace.records()[..end], sets, ways);
-                    run(&mut AlwaysAdmit, &mut ev, None)
-                }
-                PolicyMode::GmmCachingOnly => {
-                    let mut adm = wrap_adm(self.admission(threshold));
-                    run(adm.as_mut(), &mut LruPolicy::new(sets, ways), score)
-                }
-                PolicyMode::GmmEvictionOnly => {
-                    let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                    run(&mut AlwaysAdmit, ev.as_mut(), score)
-                }
-                PolicyMode::GmmCachingEviction => {
-                    let mut adm = wrap_adm(self.admission(threshold));
-                    let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                    run(adm.as_mut(), ev.as_mut(), score)
-                }
-            }
+        let mut scored = ScoredCount::default();
+        let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
+        let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
+        let mut sim = if use_batched {
+            wsim.run(warmup, measured, &mut cache, adm, ev, score, latency, None)
+        } else {
+            icgmm_cache::simulate_streaming_observed_with_warmup(
+                warmup,
+                measured,
+                &mut cache,
+                adm,
+                ev,
+                score,
+                latency,
+                None,
+                &mut scored,
+            )
         };
-        if use_batched {
+        let gmm_inferences = if use_batched {
             sim.fault.merge(wsim.fault_stats());
-        }
-        sim.fault.merge(&sink.snapshot());
-        sim.adapt.merge(&stack.adapt_stats());
-        let gmm_inferences = stack.scores_computed();
+            wsim.spec_stats().scores_computed()
+        } else {
+            scored.0
+        };
+        let (fault, adapt) = stack.telemetry();
+        sim.fault.merge(&fault);
+        sim.adapt.merge(&adapt);
         Ok(RunReport {
             mode,
             sim,
@@ -448,59 +580,23 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<RunReport, IcgmmError> {
-        let shards = self.cfg.sim_shards;
-        if shards > 1 && mode == PolicyMode::Random {
-            return Err(IcgmmError::Config(format!(
-                "random eviction is not shard-deterministic; run it at sim_shards = 1 \
-                 (requested {shards})"
-            )));
-        }
+        let stack = self.sharded_stack(mode)?;
         let (warmup, measured) = self.phases(trace);
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        // Per-shard fault plumbing: each replay thread gets its own score
-        // injector, health monitor and stats sink, so degradation
-        // transitions stay deterministic per shard (and a supervisor
-        // re-replay after a worker panic replaces the aborted attempt's
-        // sink wholesale, keeping merged stats equal to an undisturbed
-        // run). Sinks merge into the report in shard order. The sink
-        // table sits behind a mutex because `make_shard` now runs on the
-        // shard workers themselves (parallel policy construction).
-        let plan = self.cfg.fault;
-        let scorer_armed = plan.scorer_armed() || plan.monitor_armed();
-        let shard_sinks = std::sync::Mutex::new(vec![FaultSink::new(); shards]);
-        let adapt_sinks = std::sync::Mutex::new(vec![AdaptSink::new(); shards]);
-        let ssim = ShardedSimulator::with_params(shards, self.cfg.spec_params()).with_faults(plan);
-        let rep = ssim.run(
+        let ssim = ShardedSimulator::with_params(self.cfg.sim_shards, self.cfg.spec_params())
+            .with_faults(self.cfg.fault);
+        let mut rep = ssim.run(
             warmup,
             measured,
             self.cfg.cache,
-            &|ctx| {
-                self.shard_policies(ctx, mode, engine.as_ref(), threshold, plan, scorer_armed, {
-                    (&shard_sinks, &adapt_sinks)
-                })
-            },
+            &|ctx| stack.shard_policies(ctx),
             latency,
             None,
         )?;
-        let mut rep = rep;
-        for sink in shard_sinks
-            .into_inner()
-            .expect("no worker holds the sink lock")
-        {
-            rep.sim.fault.merge(&sink.snapshot());
-        }
-        for sink in adapt_sinks
-            .into_inner()
-            .expect("no worker holds the adapt sink lock")
-        {
-            rep.sim.adapt.merge(&sink.snapshot());
-        }
-        let gmm_inferences = if engine.is_none() {
+        let scored = stack.engine.is_some();
+        let (fault, adapt) = stack.telemetry();
+        rep.sim.fault.merge(&fault);
+        rep.sim.adapt.merge(&adapt);
+        let gmm_inferences = if !scored {
             0
         } else if rep.batched {
             rep.spec.scores_computed()
@@ -511,110 +607,8 @@ impl Icgmm {
             mode,
             sim: rep.sim,
             gmm_inferences,
-            spec: (engine.is_some() && rep.batched).then_some(rep.spec),
+            spec: (scored && rep.batched).then_some(rep.spec),
         })
-    }
-
-    /// Builds one shard's policy/scorer/fault stack — the single factory
-    /// shared by [`Icgmm::run_sharded`] and [`Icgmm::serve`], so the
-    /// offline replay and the serving front-end can never drift apart in
-    /// what they instantiate per shard.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_policies(
-        &self,
-        ctx: &ShardCtx<'_>,
-        mode: PolicyMode,
-        engine: Option<&GmmPolicyEngine>,
-        threshold: f64,
-        plan: FaultPlan,
-        scorer_armed: bool,
-        sinks: (
-            &std::sync::Mutex<Vec<FaultSink>>,
-            &std::sync::Mutex<Vec<AdaptSink>>,
-        ),
-    ) -> ShardPolicies {
-        let (shard_sinks, adapt_sinks) = sinks;
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-        let eviction: Box<dyn icgmm_cache::EvictionPolicy + Send> = match mode {
-            PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            PolicyMode::Random => Box::new(RandomPolicy::new(self.cfg.em.seed)),
-            PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
-            PolicyMode::Belady => {
-                // The oracle sees exactly this shard's subsequence:
-                // its positions are the shard-local sequence
-                // numbers the replay will present, order-isomorphic
-                // to the global ones. Built straight off the shard's
-                // indexed views — no subtrace materialization.
-                Box::new(BeladyPolicy::from_pages(
-                    ctx.warmup
-                        .iter()
-                        .chain(ctx.measured.iter())
-                        .map(|r| r.page().raw()),
-                    sets,
-                    ways,
-                ))
-            }
-            PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction => {
-                Box::new(self.score_eviction(sets, ways))
-            }
-            PolicyMode::Lru | PolicyMode::GmmCachingOnly => Box::new(LruPolicy::new(sets, ways)),
-        };
-        let admission: Box<dyn icgmm_cache::AdmissionPolicy + Send> = match mode {
-            PolicyMode::GmmCachingOnly | PolicyMode::GmmCachingEviction => {
-                Box::new(self.admission(threshold))
-            }
-            _ => Box::new(AlwaysAdmit),
-        };
-        // Each shard's engine clone optionally gains the online refit loop
-        // (per-shard buffers, per-shard salted seeds, per-shard sink —
-        // replaced wholesale on a supervisor re-replay, exactly like the
-        // fault sink). Empty plans wrap nothing.
-        let score = engine.map(|e| {
-            if self.cfg.adapt.is_empty() {
-                Box::new(e.clone()) as Box<dyn icgmm_cache::ScoreSource + Send>
-            } else {
-                let sink = AdaptSink::new();
-                let adaptive = self.adaptive_engine(e.clone(), ctx.shard as u64, sink.clone());
-                adapt_sinks.lock().expect("adapt sink lock never poisoned")[ctx.shard] = sink;
-                Box::new(adaptive) as Box<dyn icgmm_cache::ScoreSource + Send>
-            }
-        });
-        let (mut admission, mut eviction, mut score) = (admission, eviction, score);
-        if score.is_some() && scorer_armed {
-            let sink = FaultSink::new();
-            let health = plan.monitor_armed().then(|| ScorerHealth::new(&plan));
-            score = score.map(|s| {
-                Box::new(FaultyScore::new(s, plan, health.clone(), sink.clone()))
-                    as Box<dyn icgmm_cache::ScoreSource + Send>
-            });
-            if let Some(h) = &health {
-                if matches!(
-                    mode,
-                    PolicyMode::GmmEvictionOnly | PolicyMode::GmmCachingEviction
-                ) {
-                    eviction = Box::new(FailoverEviction::new(
-                        eviction,
-                        Box::new(LruPolicy::new(sets, ways)),
-                        h.clone(),
-                        sink.clone(),
-                    ));
-                }
-                if matches!(
-                    mode,
-                    PolicyMode::GmmCachingOnly | PolicyMode::GmmCachingEviction
-                ) {
-                    admission =
-                        Box::new(FailoverAdmission::new(admission, h.clone(), sink.clone()));
-                }
-            }
-            shard_sinks.lock().expect("sink lock never poisoned")[ctx.shard] = sink;
-        }
-        ShardPolicies {
-            admission,
-            eviction,
-            score,
-        }
     }
 
     /// Serves the (trimmed) trace through the concurrent
@@ -660,70 +654,42 @@ impl Icgmm {
         mode: PolicyMode,
         latency: &LatencyModel,
     ) -> Result<ServeReport, IcgmmError> {
-        let shards = self.cfg.sim_shards;
-        if shards > 1 && mode == PolicyMode::Random {
-            return Err(IcgmmError::Config(format!(
-                "random eviction is not shard-deterministic; serve it at sim_shards = 1 \
-                 (requested {shards})"
-            )));
-        }
+        let stack = self.sharded_stack(mode)?;
         let (warmup, measured) = self.phases(trace);
-        let engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        let plan = self.cfg.fault;
-        let scorer_armed = plan.scorer_armed() || plan.monitor_armed();
-        let shard_sinks = std::sync::Mutex::new(vec![FaultSink::new(); shards]);
-        let adapt_sinks = std::sync::Mutex::new(vec![AdaptSink::new(); shards]);
         let server = CacheServer::new(ServeConfig {
-            shards,
+            shards: self.cfg.sim_shards,
             clients: self.cfg.serve_clients,
             queue_depth: self.cfg.serve_queue_depth,
             completion_depth: self.cfg.serve_completion_depth,
             params: self.cfg.spec_params(),
-            fault: plan,
+            fault: self.cfg.fault,
             ..ServeConfig::default()
         })?;
         let mut rep = server.serve(
             warmup,
             measured,
             self.cfg.cache,
-            &|ctx| {
-                self.shard_policies(ctx, mode, engine.as_ref(), threshold, plan, scorer_armed, {
-                    (&shard_sinks, &adapt_sinks)
-                })
-            },
+            &|ctx| stack.shard_policies(ctx),
             latency,
             None,
         )?;
-        // Scorer-fault and adaptation telemetry travel by sink, exactly as
-        // offline — merged in shard order for determinism.
-        for sink in shard_sinks
-            .into_inner()
-            .expect("no worker holds the sink lock")
-        {
-            rep.sim.fault.merge(&sink.snapshot());
-        }
-        for sink in adapt_sinks
-            .into_inner()
-            .expect("no worker holds the adapt sink lock")
-        {
-            rep.sim.adapt.merge(&sink.snapshot());
-        }
+        let (fault, adapt) = stack.telemetry();
+        rep.sim.fault.merge(&fault);
+        rep.sim.adapt.merge(&adapt);
         Ok(rep)
     }
 
     /// Runs one mode through the cycle-approximate dataflow hardware model
     /// instead of the analytic latency constants.
     ///
-    /// Host replay follows the same routing as [`Icgmm::run`]: engines at
-    /// paper-scale K ([`icgmm_cache::ScoreSource::prefers_batching`]) ride
-    /// the speculative miss-window batcher with this configuration's
-    /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs, small-K
-    /// engines and score-free modes stream. The modeled timing is
+    /// The policies, the scorer and their adaptation, fault-injection and
+    /// failover wrappers are [`Icgmm::run`]'s, so the replayed
+    /// [`DataflowReport::stats`] equal `run`'s under every plan. Host
+    /// replay follows the same routing too: engines at paper-scale K
+    /// ([`icgmm_cache::ScoreSource::prefers_batching`]) ride the
+    /// speculative miss-window batcher with this configuration's
+    /// `sim_window`/`sim_window_floor`/`sim_stream_miss_div` knobs,
+    /// small-K engines and score-free modes stream. The modeled timing is
     /// bit-identical either way; [`DataflowReport::spec`] carries the
     /// speculation telemetry of batched runs.
     ///
@@ -736,24 +702,11 @@ impl Icgmm {
         mode: PolicyMode,
         config: &DataflowConfig,
     ) -> Result<DataflowReport, IcgmmError> {
-        let (warmup, measured) = self.phases(trace);
-        let sets = self.cfg.cache.num_sets();
-        let ways = self.cfg.cache.ways;
-        let mut engine = if mode.uses_gmm() {
-            Some(self.policy_engine()?)
-        } else {
-            None
-        };
-        let threshold = self.model.as_ref().map(|m| m.threshold).unwrap_or(0.0);
-        let use_batched = engine
-            .as_ref()
-            .is_some_and(icgmm_cache::ScoreSource::prefers_batching);
-        let params = self.cfg.spec_params();
-
         // This configuration's fault plan rides along unless the dataflow
         // config armed its own: device faults and the circuit breaker act
-        // inside the hardware model, scorer faults and policy failover are
-        // wired here, and everything lands in the report's fault block.
+        // inside the hardware model, scorer faults and policy failover in
+        // the policy stack, and everything lands in the report's fault
+        // block.
         let effective;
         let config = if config.fault.is_empty() && !self.cfg.fault.is_empty() {
             effective = DataflowConfig {
@@ -764,132 +717,42 @@ impl Icgmm {
         } else {
             config
         };
-        let plan = config.fault;
-        let sink = FaultSink::new();
-        let health = (engine.is_some() && plan.monitor_armed()).then(|| ScorerHealth::new(&plan));
-        let mut faulty = if engine.is_some() && (plan.scorer_armed() || health.is_some()) {
-            engine
-                .take()
-                .map(|e| FaultyScore::new(e, plan, health.clone(), sink.clone()))
+        let (warmup, measured) = self.phases(trace);
+        let (stack, mut pol) = self.one_shard(trace, mode, config.fault)?;
+        let use_batched = pol.score.as_ref().is_some_and(|s| s.prefers_batching());
+        let score = pol.score.as_deref_mut().map(|s| s as &mut dyn ScoreSource);
+        let (adm, ev) = (pol.admission.as_mut(), pol.eviction.as_mut());
+        let mut report = if use_batched {
+            icgmm_hw::run_dataflow_batched_with_warmup(
+                warmup,
+                measured,
+                self.cfg.cache,
+                adm,
+                ev,
+                score,
+                config,
+                self.cfg.spec_params(),
+            )?
         } else {
-            None
+            icgmm_hw::run_dataflow_streaming_with_warmup(
+                warmup,
+                measured,
+                self.cfg.cache,
+                adm,
+                ev,
+                score,
+                config,
+            )?
         };
-        let score: Option<&mut dyn icgmm_cache::ScoreSource> = match faulty.as_mut() {
-            Some(f) => Some(f),
-            None => engine
-                .as_mut()
-                .map(|e| e as &mut dyn icgmm_cache::ScoreSource),
-        };
-        let wrap_ev = |primary: GmmScorePolicy| -> Box<dyn icgmm_cache::EvictionPolicy + Send> {
-            match &health {
-                Some(h) => Box::new(FailoverEviction::new(
-                    Box::new(primary),
-                    Box::new(LruPolicy::new(sets, ways)),
-                    h.clone(),
-                    sink.clone(),
-                )),
-                None => Box::new(primary),
-            }
-        };
-        let wrap_adm = |primary: ThresholdAdmit| -> Box<dyn icgmm_cache::AdmissionPolicy + Send> {
-            match &health {
-                Some(h) => Box::new(FailoverAdmission::new(
-                    Box::new(primary),
-                    h.clone(),
-                    sink.clone(),
-                )),
-                None => Box::new(primary),
-            }
-        };
-        let cache_cfg = self.cfg.cache;
-        let go = |adm: &mut dyn icgmm_cache::AdmissionPolicy,
-                  ev: &mut dyn icgmm_cache::EvictionPolicy,
-                  score: Option<&mut dyn icgmm_cache::ScoreSource>|
-         -> Result<DataflowReport, IcgmmError> {
-            Ok(if use_batched {
-                icgmm_hw::run_dataflow_batched_with_warmup(
-                    warmup, measured, cache_cfg, adm, ev, score, config, params,
-                )?
-            } else {
-                icgmm_hw::run_dataflow_streaming_with_warmup(
-                    warmup, measured, cache_cfg, adm, ev, score, config,
-                )?
-            })
-        };
-        let mut report = match mode {
-            PolicyMode::Lru | PolicyMode::Fifo | PolicyMode::Random | PolicyMode::Lfu => {
-                let mut ev: Box<dyn icgmm_cache::EvictionPolicy> = match mode {
-                    PolicyMode::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-                    PolicyMode::Random => Box::new(RandomPolicy::new(self.cfg.em.seed)),
-                    PolicyMode::Lfu => Box::new(LfuPolicy::new(sets, ways)),
-                    _ => Box::new(LruPolicy::new(sets, ways)),
-                };
-                go(&mut AlwaysAdmit, ev.as_mut(), None)
-            }
-            PolicyMode::Belady => {
-                let end = warmup.len() + measured.len();
-                let mut ev = BeladyPolicy::from_records(&trace.records()[..end], sets, ways);
-                go(&mut AlwaysAdmit, &mut ev, None)
-            }
-            PolicyMode::GmmCachingOnly => {
-                let mut adm = wrap_adm(self.admission(threshold));
-                go(adm.as_mut(), &mut LruPolicy::new(sets, ways), score)
-            }
-            PolicyMode::GmmEvictionOnly => {
-                let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                go(&mut AlwaysAdmit, ev.as_mut(), score)
-            }
-            PolicyMode::GmmCachingEviction => {
-                let mut adm = wrap_adm(self.admission(threshold));
-                let mut ev = wrap_ev(self.score_eviction(sets, ways));
-                go(adm.as_mut(), ev.as_mut(), score)
-            }
-        }?;
-        report.fault.merge(&sink.snapshot());
+        report.fault.merge(&stack.telemetry().0);
         Ok(report)
-    }
-
-    /// Wraps one engine clone in the online refit loop described by
-    /// `self.cfg.adapt` (callers check [`icgmm_cache::AdaptPlan::is_empty`]
-    /// first). `shard` salts the plan seed so each shard draws independent
-    /// reservoir and re-seed streams.
-    fn adaptive_engine(&self, engine: GmmPolicyEngine, shard: u64, sink: AdaptSink) -> AdaptiveEngine {
-        let model = self
-            .model
-            .as_ref()
-            .expect("a GMM engine implies a trained model");
-        AdaptiveEngine::new(
-            engine,
-            &model.gmm,
-            self.cfg.em,
-            &self.cfg.preprocess,
-            self.cfg.adapt,
-            shard,
-            sink,
-        )
-        .expect("adapt plan is validated at configuration time")
-    }
-
-    fn score_eviction(&self, sets: usize, ways: usize) -> GmmScorePolicy {
-        if self.cfg.eviction_hit_bonus > 0.0 {
-            GmmScorePolicy::with_hit_bonus(sets, ways, self.cfg.eviction_hit_bonus)
-        } else {
-            GmmScorePolicy::new(sets, ways)
-        }
-    }
-
-    fn admission(&self, threshold: f64) -> ThresholdAdmit {
-        ThresholdAdmit {
-            threshold,
-            admit_writes_always: self.cfg.admit_writes_always,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icgmm_cache::CacheConfig;
+    use icgmm_cache::{AdaptPlan, CacheConfig};
     use icgmm_gmm::EmConfig;
     use icgmm_trace::synth::WorkloadKind;
     use icgmm_trace::PreprocessConfig;
@@ -1078,6 +941,82 @@ mod tests {
                 }
                 if mode.uses_gmm() {
                     assert!(sharded.gmm_inferences > 0, "{mode} at {shards} shards");
+                }
+            }
+        }
+
+        // Every entry point replays the same policy stack: at one shard,
+        // under a scorer-fault plan and under online adaptation on a
+        // prefix-fit model, on the streaming (K = 16) and the batched
+        // (K = 64) route, `run_sharded` and `run_dataflow` agree with `run`.
+        // (`run` never injects shard-worker panics, so none are armed.)
+        let faults = FaultPlan {
+            seed: 3,
+            scorer_nan_per_mille: 200,
+            scorer_outage_per_mille: 5,
+            scorer_outage_len: 64,
+            scorer_demote_after: 4,
+            scorer_promote_after: 16,
+            shard_panic_per_mille: 0,
+            ..FaultPlan::default()
+        };
+        let plans = [
+            ("faults", faults, AdaptPlan::default()),
+            ("adapt", FaultPlan::default(), AdaptPlan::drifty(5)),
+        ];
+        let scorer_faults = |f: &FaultStats| {
+            (
+                f.scorer_nan_injected,
+                f.scorer_outage_scores,
+                f.scorer_demotions,
+                f.scorer_repromotions,
+                f.degraded_scores,
+                f.degraded_victims,
+                f.degraded_admits,
+            )
+        };
+        let prefix: Trace = trace.records()[..10_000].iter().copied().collect();
+        for k in [16, 64] {
+            let mut fitted = Icgmm::new(IcgmmConfig {
+                em: EmConfig { k, ..base.em },
+                ..base
+            })
+            .unwrap();
+            fitted.fit(&prefix).unwrap();
+            for (name, fault, adapt) in plans {
+                let mut sys = Icgmm::new(IcgmmConfig {
+                    fault,
+                    adapt,
+                    sim_shards: 1,
+                    ..*fitted.config()
+                })
+                .unwrap();
+                sys.set_model(fitted.model().expect("fitted").clone());
+                for mode in [
+                    PolicyMode::GmmCachingOnly,
+                    PolicyMode::GmmEvictionOnly,
+                    PolicyMode::GmmCachingEviction,
+                ] {
+                    let at = format!("{mode} at K = {k} under {name}");
+                    let run = sys.run(&trace, mode).unwrap();
+                    assert!(
+                        run.sim.fault.injected() + run.sim.adapt.refits > 0,
+                        "{at}: the plan never fired"
+                    );
+                    assert_eq!(run.spec.is_some(), k == 64, "{at}: routing");
+                    let sharded = sys.run_sharded(&trace, mode).unwrap();
+                    assert_eq!(run.sim, sharded.sim, "{at}: run_sharded");
+                    assert_eq!(run.gmm_inferences, sharded.gmm_inferences, "{at}");
+                    assert_eq!(run.spec, sharded.spec, "{at}");
+                    let df = sys
+                        .run_dataflow(&trace, mode, &DataflowConfig::default())
+                        .unwrap();
+                    assert_eq!(run.sim.stats, df.stats, "{at}: run_dataflow");
+                    assert_eq!(
+                        scorer_faults(&run.sim.fault),
+                        scorer_faults(&df.fault),
+                        "{at}: run_dataflow fault counters"
+                    );
                 }
             }
         }

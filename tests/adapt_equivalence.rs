@@ -100,7 +100,9 @@ fn held_off(seed: u64) -> AdaptPlan {
 fn empty_plan_runs_leave_adapt_telemetry_clean() {
     let (trace, _) = fixture();
     let sys = system_with(AdaptPlan::empty(), 2);
-    let rep = sys.run_sharded(trace, PolicyMode::GmmCachingEviction).unwrap();
+    let rep = sys
+        .run_sharded(trace, PolicyMode::GmmCachingEviction)
+        .unwrap();
     assert!(
         rep.sim.adapt.is_clean(),
         "an empty plan must never touch the adaptation loop: {:?}",
@@ -189,7 +191,10 @@ fn static_vs_adaptive_repairs_drift_on_the_rotating_workload() {
         trace.len() / 3,
     )
     .unwrap();
-    assert!(cmp.static_run.adapt.is_clean(), "the static arm never adapts");
+    assert!(
+        cmp.static_run.adapt.is_clean(),
+        "the static arm never adapts"
+    );
     assert!(
         cmp.adaptive_run.adapt.swaps > 0,
         "the rotating workload must trip the detector: {:?}",
